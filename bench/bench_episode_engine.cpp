@@ -113,14 +113,6 @@ std::string build_type() {
 #endif
 }
 
-bool simd_enabled() {
-#if defined(ATLAS_UE_BATCH_SIMD) && defined(__AVX2__)
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 int main() {
@@ -157,8 +149,7 @@ int main() {
   out << "{\n  \"bench\": \"episode_engine\",\n  \"unit\": \"episodes_per_second\",\n"
       << "  \"machine\": {\"cores\": " << std::thread::hardware_concurrency()
       << ", \"compiler\": \"" << compiler_string() << "\", \"build_type\": \"" << build_type()
-      << "\", \"ue_batch_simd\": " << (simd_enabled() ? "true" : "false")
-      << ", \"bench_scale\": " << opts.scale << "},\n"
+      << "\", \"bench_scale\": " << opts.scale << "},\n"
       << "  \"baseline\": \"pre-SoA background tier (PR 6 artifact, same protocol)\",\n"
       << "  \"scenarios\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

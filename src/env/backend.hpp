@@ -11,7 +11,7 @@
 #include "env/episode.hpp"
 #include "env/sim_params.hpp"
 #include "env/slice_config.hpp"
-#include "telemetry/histogram.hpp"
+#include "env/stats_fields.hpp"
 
 namespace atlas::env {
 
@@ -70,7 +70,7 @@ struct EnvQuery {
   /// episode starts executing, the service returns a typed
   /// RejectReason::kDeadlineExceeded result instead of stale work; remote
   /// backends additionally cap their RPC wait at the remaining budget and
-  /// propagate it over the wire (v5 field) so the worker can drop
+  /// propagate it over the wire so the worker can drop
   /// already-dead queries from ITS queue too. Like `crn`, not part of the
   /// memoization key — it shapes serving, not the episode.
   double deadline_ms = 0.0;
@@ -79,33 +79,40 @@ struct EnvQuery {
   QueryPriority priority = QueryPriority::kNormal;
 };
 
+/// BackendStats counters the service maintains per backend (atomics in
+/// EnvService::Backend). Rejections are queries answered with a typed
+/// RejectReason instead of an episode; for cacheable workloads the
+/// exact-accounting invariant is `cache_hits + cache_misses + shedded +
+/// deadline_rejected + cancelled == queries`.
+#define ATLAS_BACKEND_SERVICE_COUNTERS(X)                                          \
+  X(queries, kCounter)           /* answered: hit, executed, or rejected */        \
+  X(cache_hits, kCounter)        /* memo table or a coalesced in-flight episode */ \
+  X(cache_misses, kCounter)      /* unique executions of cacheable queries */      \
+  X(crn_hits, kCounter)          /* cache_hits on CRN-planned queries: episodes */ \
+                                 /* saved by cross-iteration seed reuse */         \
+  X(episodes, kCounter)          /* environment executions */                      \
+  X(shedded, kCounter)           /* load-shed at admission (watermark) */          \
+  X(deadline_rejected, kCounter) /* deadline elapsed before execution */           \
+  X(cancelled, kCounter)         /* caller cancelled before/while executing */
+/// BackendStats fields the backend itself reports through fill_stats
+/// (remote backends only; zero for local ones).
+#define ATLAS_BACKEND_RPC_FIELDS(X)                                               \
+  X(rpc_retries, kCounter)    /* transport-level retries */                       \
+  X(rpc_failures, kCounter)   /* queries that exhausted retries or hard-failed */ \
+  X(rpc_reconnects, kCounter) /* successful connection re-establishments */       \
+  X(rpc_rtt_ns, kHistogram)   /* round-trip latency of successful episode RPCs */
+#define ATLAS_BACKEND_FIELDS(X) ATLAS_BACKEND_SERVICE_COUNTERS(X) ATLAS_BACKEND_RPC_FIELDS(X)
+
 /// Per-backend accounting. `queries` counts everything routed through the
 /// service; `episodes` counts actual environment executions (for online
 /// backends the two are equal — that equality IS the SLA-exposure meter).
 struct BackendStats {
   std::string name;
   BackendKind kind = BackendKind::kOffline;
-  std::uint64_t queries = 0;       ///< Queries answered (hit or executed).
-  std::uint64_t cache_hits = 0;    ///< Served from the memo table or a coalesced in-flight episode.
-  std::uint64_t cache_misses = 0;  ///< Unique executions of cacheable queries.
-  std::uint64_t crn_hits = 0;      ///< Subset of cache_hits on CRN-planned queries:
-                                   ///< episodes saved by cross-iteration seed reuse.
-  std::uint64_t episodes = 0;      ///< Environment executions.
-  /// Queries answered with a typed rejection instead of an episode. For
-  /// cacheable workloads the exact-accounting invariant extends to
-  /// `cache_hits + cache_misses + shedded + deadline_rejected + cancelled
-  /// == queries`.
-  std::uint64_t shedded = 0;            ///< Load-shed at admission (watermark).
-  std::uint64_t deadline_rejected = 0;  ///< Deadline elapsed before execution.
-  std::uint64_t cancelled = 0;          ///< Caller cancelled before/while executing
-                                        ///< (speculative prefetch abandoned).
-  double cost_hint = 1.0;          ///< Relative episode recomputation cost.
-  std::uint64_t rpc_retries = 0;   ///< Transport-level retries (remote backends only).
-  std::uint64_t rpc_failures = 0;  ///< Queries that exhausted retries or hard-failed remotely.
-  std::uint64_t rpc_reconnects = 0;  ///< Successful connection re-establishments (remote only).
-  /// Round-trip latency of successful episode RPCs in nanoseconds (remote
-  /// backends only; empty for local ones). Filled by fill_stats.
-  telemetry::HistogramData rpc_rtt_ns;
+  ATLAS_BACKEND_SERVICE_COUNTERS(ATLAS_STATS_FIELD)
+  double cost_hint = 1.0;  ///< Relative episode recomputation cost.
+  ATLAS_BACKEND_RPC_FIELDS(ATLAS_STATS_FIELD)
+  ATLAS_STATS_VISITOR(ATLAS_BACKEND_FIELDS)
 
   /// Total typed rejections (shed + deadline + cancelled).
   std::uint64_t rejected() const noexcept { return shedded + deadline_rejected + cancelled; }

@@ -80,6 +80,25 @@ std::vector<double> EnvClient::measure_qoe_batch(std::span<const EnvQuery> queri
   return qoes;
 }
 
+void EnvServiceStats::add_backend(BackendStats row) {
+  const RowFilter own = row.kind == BackendKind::kOnline ? RowFilter::kOnline : RowFilter::kOffline;
+  visit_fold([&](auto total, auto row_field, RowFilter rows) {
+    if (rows == RowFilter::kAll || rows == own) this->*total += row.*row_field;
+  });
+  backends.push_back(std::move(row));
+}
+
+EnvServiceStats EnvServiceStats::since(const EnvServiceStats& start) const {
+  EnvServiceStats delta = *this;
+  for (std::size_t i = 0; i < start.backends.size() && i < delta.backends.size(); ++i) {
+    subtract_fields(delta.backends[i], start.backends[i]);
+  }
+  subtract_fields(delta, start);
+  subtract_fields(delta.farm, start.farm);
+  subtract_fields(delta.speculation, start.speculation);
+  return delta;
+}
+
 namespace {
 
 std::string quantile_ms(const telemetry::HistogramData& histogram, double q) {
@@ -100,22 +119,13 @@ common::Table EnvServiceStats::summary() const {
                    std::to_string(b.rpc_retries), std::to_string(b.rpc_failures),
                    quantile_ms(b.rpc_rtt_ns, 0.50), quantile_ms(b.rpc_rtt_ns, 0.99)});
   }
-  std::uint64_t episodes = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t failures = 0;
-  telemetry::HistogramData rtt;
-  for (const BackendStats& b : backends) {
-    episodes += b.episodes;
-    rejected += b.rejected();
-    retries += b.rpc_retries;
-    failures += b.rpc_failures;
-    rtt.merge(b.rpc_rtt_ns);
-  }
+  BackendStats sum;
+  for (const BackendStats& b : backends) add_fields(sum, b);
   table.add_row({"TOTAL", "", "", std::to_string(total_queries()), std::to_string(cache_hits),
-                 std::to_string(crn_hits), std::to_string(episodes), std::to_string(rejected),
-                 std::to_string(retries), std::to_string(failures), quantile_ms(rtt, 0.50),
-                 quantile_ms(rtt, 0.99)});
+                 std::to_string(crn_hits), std::to_string(sum.episodes),
+                 std::to_string(sum.rejected()), std::to_string(sum.rpc_retries),
+                 std::to_string(sum.rpc_failures), quantile_ms(sum.rpc_rtt_ns, 0.50),
+                 quantile_ms(sum.rpc_rtt_ns, 0.99)});
   // Service-level serving latency: what a caller of run()/submit() saw,
   // including cache hits (that's the point — the service IS the product).
   table.add_row({"query latency", "p50 " + quantile_ms(query_latency_ns, 0.50) + " ms",
@@ -135,12 +145,12 @@ common::Table EnvServiceStats::summary() const {
   }
   // Degradation visibility: only rendered once any overload/fault machinery
   // has fired, so quiet deployments keep the familiar table.
-  if (farm.hedges > 0 || farm.breaker_trips > 0 || farm.reconnects > 0 ||
+  if (farm.hedges > 0 || farm.breaker_trips > 0 || reconnects > 0 ||
       shed_total > 0 || deadline_rejected > 0 || cancelled_total > 0) {
     table.add_row({"overload", "hedges " + std::to_string(farm.hedges),
                    "hedge wins " + std::to_string(farm.hedge_wins),
                    "breaker trips " + std::to_string(farm.breaker_trips),
-                   "reconnects " + std::to_string(farm.reconnects),
+                   "reconnects " + std::to_string(reconnects),
                    "shed " + std::to_string(shed_total),
                    "deadline " + std::to_string(deadline_rejected),
                    "cancelled " + std::to_string(cancelled_total), "", "", "", ""});

@@ -43,45 +43,52 @@ class QueryHandle {
   std::future<EpisodeResult> future_;
 };
 
+/// Farm-membership counters (FarmView; atomics in FarmState), filled from
+/// the FarmController's shared block. The two gauges are levels, not
+/// activity, so deltas pass them through.
+#define ATLAS_FARM_FIELDS(X)                                                          \
+  X(workers, kCounter)               /* workers ever admitted */                      \
+  X(workers_serving, kGauge)         /* currently healthy */                          \
+  X(workers_suspect, kGauge)         /* missed heartbeats, not yet dead */            \
+  X(workers_joined, kCounter)                                                         \
+  X(workers_lost, kCounter)          /* declared dead (missed-heartbeat limit) */     \
+  X(workers_drained, kCounter)       /* gracefully removed, memo migrated */          \
+  X(heartbeats_missed, kCounter)                                                      \
+  X(episodes_redispatched, kCounter) /* re-run on a replica after a worker fault */   \
+  X(memo_entries_migrated, kCounter) /* worker-to-worker memo transfers */            \
+  X(backends_migrated, kCounter)     /* backends whose memo found a new shard */      \
+  X(hedges, kCounter)                /* hedged second attempts launched */            \
+  X(hedge_wins, kCounter)            /* hedges whose SECOND attempt returned first */ \
+  X(breaker_trips, kCounter)         /* per-replica circuit breakers opened */
+
 /// Farm-membership counters, filled when a FarmController is attached to the
 /// reporting ShardRouter (env/farm_controller.hpp). Client-side bookkeeping —
 /// not part of the wire stats snapshot.
 struct FarmView {
   bool active = false;  ///< a FarmController is (or was) attached
-  std::uint64_t workers = 0;          ///< workers ever admitted
-  std::uint64_t workers_serving = 0;  ///< gauge: currently healthy
-  std::uint64_t workers_suspect = 0;  ///< gauge: missed heartbeats, not yet dead
-  std::uint64_t workers_joined = 0;
-  std::uint64_t workers_lost = 0;     ///< declared dead (missed-heartbeat limit)
-  std::uint64_t workers_drained = 0;  ///< gracefully removed, memo migrated
-  std::uint64_t heartbeats_missed = 0;
-  std::uint64_t episodes_redispatched = 0;  ///< re-run on a replica after a worker fault
-  std::uint64_t memo_entries_migrated = 0;  ///< worker-to-worker memo transfers
-  std::uint64_t backends_migrated = 0;      ///< backends whose memo found a new shard
-  // Overload / partial-failure counters (PR 8). hedges/hedge_wins/
-  // breaker_trips come from the FarmController; reconnects and shed_total are
-  // filled by ShardRouter::stats() from the backend rows so they cover
-  // non-farm remote backends too.
-  std::uint64_t hedges = 0;         ///< hedged second attempts launched
-  std::uint64_t hedge_wins = 0;     ///< hedges whose SECOND attempt returned first
-  std::uint64_t breaker_trips = 0;  ///< per-replica circuit breakers opened
-  std::uint64_t reconnects = 0;     ///< remote connections re-established
-  std::uint64_t shed_total = 0;     ///< queries shed at admission watermarks
+  ATLAS_FARM_FIELDS(ATLAS_STATS_FIELD)
+  ATLAS_STATS_VISITOR(ATLAS_FARM_FIELDS)
 };
 
 class SpeculationState;
 
+/// Speculative-prefetch counters (SpeculationView; atomics in
+/// SpeculationState). Invariant, settled at every iteration close:
+/// launched == hits + cancelled + wasted.
+#define ATLAS_SPECULATION_FIELDS(X)                                           \
+  X(launched, kCounter)  /* speculative episodes submitted */                 \
+  X(hits, kCounter)      /* speculations BO later committed to */             \
+  X(cancelled, kCounter) /* abandoned before an episode ran (token cancel, */ \
+                         /* watermark shed, or deadline) */                   \
+  X(wasted, kCounter)    /* executed but never committed (warm cache) */
+
 /// Speculative-prefetch counters, filled when a SpeculationPlanner
 /// (env/speculation.hpp) is attached to the reporting client. Client-side
-/// bookkeeping — not part of the wire stats snapshot. Invariant, settled at
-/// every iteration close: launched == hits + cancelled + wasted.
+/// bookkeeping — not part of the wire stats snapshot.
 struct SpeculationView {
-  bool active = false;            ///< a SpeculationPlanner is (or was) attached
-  std::uint64_t launched = 0;     ///< speculative episodes submitted
-  std::uint64_t hits = 0;         ///< speculations BO later committed to
-  std::uint64_t cancelled = 0;    ///< abandoned before an episode ran (token
-                                  ///< cancel, watermark shed, or deadline)
-  std::uint64_t wasted = 0;       ///< executed but never committed (warm cache)
+  bool active = false;  ///< a SpeculationPlanner is (or was) attached
+  ATLAS_SPECULATION_FIELDS(ATLAS_STATS_FIELD)
+  ATLAS_STATS_VISITOR(ATLAS_SPECULATION_FIELDS)
 
   /// Fraction of launched speculations BO actually committed to.
   double hit_rate() const noexcept {
@@ -89,37 +96,66 @@ struct SpeculationView {
   }
 };
 
+/// Which backend rows a service total sums.
+enum class RowFilter { kAll, kOffline, kOnline };
+
+/// EnvServiceStats scalar totals: X(total, kind, row_field, rows) — each
+/// total is the sum of BackendStats::row_field over the `rows` backends.
+/// Typed rejections (shed / deadline / cancelled) are counted in *_queries
+/// too, so hits + misses + rejections == queries stays exact for cacheable
+/// loads.
+#define ATLAS_SERVICE_TOTALS(X)                                                   \
+  X(offline_queries, kCounter, queries, kOffline)         /* cheap (simulator) */ \
+  X(online_queries, kCounter, queries, kOnline)           /* metered real */      \
+  X(cache_hits, kCounter, cache_hits, kAll)                                       \
+  X(cache_misses, kCounter, cache_misses, kAll)                                   \
+  X(crn_hits, kCounter, crn_hits, kAll)                   /* seed_plan reuse */   \
+  X(shed_total, kCounter, shedded, kAll)                  /* watermark sheds */   \
+  X(deadline_rejected, kCounter, deadline_rejected, kAll)                         \
+  X(cancelled_total, kCounter, cancelled, kAll)           /* speculations */      \
+  X(reconnects, kCounter, rpc_reconnects, kAll)           /* remote links */
+/// Serving telemetry (src/telemetry/), merged across shards by ShardRouter:
+/// per-query service latency (cache hits and episode executions alike) and
+/// the queue depth observed at each submission/run, both always-on; plus
+/// the worker-side RPC service time (decode -> response encoded), filled
+/// only on snapshots exported by an EpisodeRpcServer.
+#define ATLAS_SERVICE_HISTOGRAMS(X) \
+  X(query_latency_ns, kHistogram)   \
+  X(queue_depth, kHistogram)        \
+  X(rpc_service_ns, kHistogram)
+#define ATLAS_SERVICE_FIELDS(X) ATLAS_SERVICE_TOTALS(X) ATLAS_SERVICE_HISTOGRAMS(X)
+
 /// Service-wide accounting snapshot.
 struct EnvServiceStats {
   std::vector<BackendStats> backends;
-  std::uint64_t offline_queries = 0;  ///< Cheap (simulator) queries.
-  std::uint64_t online_queries = 0;   ///< Metered real-network interactions.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  /// Subset of cache_hits served to CRN-planned queries: cross-iteration
-  /// episode reuse from deliberate seed sharing (env/seed_plan.hpp).
-  std::uint64_t crn_hits = 0;
-  /// Typed rejections under overload protection: queries answered with a
-  /// RejectReason instead of an episode (counted in *_queries too, so
-  /// hits + misses + rejections == queries stays exact for cacheable loads).
-  std::uint64_t shed_total = 0;         ///< admission-watermark sheds
-  std::uint64_t deadline_rejected = 0;  ///< deadlines that elapsed pre-execution
-  std::uint64_t cancelled_total = 0;    ///< caller-cancelled (abandoned speculations)
-  /// Serving telemetry (src/telemetry/), merged across shards by ShardRouter:
-  /// per-query service latency (cache hits and episode executions alike) and
-  /// the queue depth observed at each submission/run, both always-on.
-  telemetry::HistogramData query_latency_ns;
-  telemetry::HistogramData queue_depth;
-  /// Worker-side RPC service time (decode -> response encoded). Only filled
-  /// on snapshots exported by an EpisodeRpcServer (wire v3 stats-snapshot);
-  /// empty for purely in-process clients.
-  telemetry::HistogramData rpc_service_ns;
+  ATLAS_SERVICE_FIELDS(ATLAS_STATS_FIELD)
+  ATLAS_STATS_VISITOR(ATLAS_SERVICE_FIELDS)
   /// Farm-membership counters; `farm.active` only when a FarmController is
   /// attached to the reporting router.
   FarmView farm;
   /// Speculative-prefetch counters; `speculation.active` only when a
   /// SpeculationPlanner is attached to the reporting client.
   SpeculationView speculation;
+
+  /// Calls f(&EnvServiceStats::total, &BackendStats::row_field, rows) for
+  /// every scalar total: the fold's recipe, straight from the list.
+  template <typename F>
+  static void visit_fold(F&& f) {
+#define ATLAS_SERVICE_FOLD(total, kind, row_field, rows)                 \
+  f(&EnvServiceStats::total, &BackendStats::row_field, RowFilter::rows);
+    ATLAS_SERVICE_TOTALS(ATLAS_SERVICE_FOLD)
+#undef ATLAS_SERVICE_FOLD
+  }
+
+  /// Append one backend row and fold it into the totals — the one fold
+  /// behind EnvService::stats() and ShardRouter::stats().
+  void add_backend(BackendStats row);
+
+  /// The activity since `start` (an earlier snapshot of the same client):
+  /// every counter and histogram differenced — backend rows by index, the
+  /// totals, the farm and speculation blocks — while gauges keep their
+  /// current level. Backends registered after `start` report in full.
+  EnvServiceStats since(const EnvServiceStats& start) const;
 
   std::uint64_t total_queries() const noexcept { return offline_queries + online_queries; }
   double hit_rate() const noexcept {

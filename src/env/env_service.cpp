@@ -81,9 +81,6 @@ EnvService::EnvService(EnvServiceOptions options)
   query_latency_ = &metrics_.histogram("env.query_latency_ns");
   queue_depth_ = &metrics_.histogram("env.queue_depth");
   arena_high_water_ = &metrics_.histogram("env.arena_high_water_bytes");
-  shed_total_ = &metrics_.counter("env.shed_total");
-  deadline_rejected_ = &metrics_.counter("env.deadline_rejected");
-  cancelled_total_ = &metrics_.counter("env.cancelled_total");
 }
 
 void EnvService::attach_speculation(std::shared_ptr<const SpeculationState> speculation) {
@@ -245,7 +242,6 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
       if (query.crn) backend.crn_hits.fetch_sub(1, std::memory_order_relaxed);
       if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
         backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-        cancelled_total_->increment();
         return shared;
       }
       continue;
@@ -255,7 +251,6 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
     // queued for the stripe lock): resolve everyone, execute nothing.
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
       backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-      cancelled_total_->increment();
       EpisodeResult abandoned;
       abandoned.rejected = RejectReason::kCancelled;
       {
@@ -276,7 +271,6 @@ EpisodeResult EnvService::run_single_flight(Backend& backend, const EnvQuery& qu
       // we pre-counted never became an episode.
       backend.cache_misses.fetch_sub(1, std::memory_order_relaxed);
       backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-      cancelled_total_->increment();
       EpisodeResult abandoned;
       abandoned.rejected = RejectReason::kCancelled;
       {
@@ -334,7 +328,6 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
             .count();
     if (waited_ms >= query.deadline_ms) {
       backend.deadline_rejected.fetch_add(1, std::memory_order_relaxed);
-      deadline_rejected_->increment();
       return RejectReason::kDeadlineExceeded;
     }
   }
@@ -347,7 +340,6 @@ RejectReason EnvService::admission_check(Backend& backend, const EnvQuery& query
                        query.priority == QueryPriority::kSpeculative);
     if (shed) {
       backend.shedded.fetch_add(1, std::memory_order_relaxed);
-      shed_total_->increment();
       return RejectReason::kShedded;
     }
   }
@@ -373,7 +365,6 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
   // result before anything executed. Typed, counted, never cached.
   if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
     backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-    cancelled_total_->increment();
     EpisodeResult abandoned;
     abandoned.rejected = RejectReason::kCancelled;
     return abandoned;
@@ -407,7 +398,6 @@ EpisodeResult EnvService::run_impl(const EnvQuery& query,
     return result;
   } catch (const EpisodeCancelled&) {
     backend.cancelled.fetch_add(1, std::memory_order_relaxed);
-    cancelled_total_->increment();
     EpisodeResult abandoned;
     abandoned.rejected = RejectReason::kCancelled;
     return abandoned;
@@ -492,15 +482,8 @@ BackendStats EnvService::backend_stats(BackendId id) const {
   BackendStats stats;
   stats.name = backend.impl->name();
   stats.kind = backend.impl->kind();
-  stats.queries = backend.queries.load(std::memory_order_relaxed);
-  stats.cache_hits = backend.cache_hits.load(std::memory_order_relaxed);
-  stats.cache_misses = backend.cache_misses.load(std::memory_order_relaxed);
-  stats.crn_hits = backend.crn_hits.load(std::memory_order_relaxed);
-  stats.episodes = backend.episodes.load(std::memory_order_relaxed);
-  stats.shedded = backend.shedded.load(std::memory_order_relaxed);
-  stats.deadline_rejected = backend.deadline_rejected.load(std::memory_order_relaxed);
-  stats.cancelled = backend.cancelled.load(std::memory_order_relaxed);
   stats.cost_hint = backend.impl->cost_hint();
+  load_fields(backend, stats);
   backend.impl->fill_stats(stats);  // rpc retries/failures for remote backends
   return stats;
 }
@@ -510,47 +493,24 @@ EnvServiceStats EnvService::stats() const {
   const std::size_t n = backend_count();
   total.backends.reserve(n);
   for (std::size_t id = 0; id < n; ++id) {
-    BackendStats s = backend_stats(static_cast<BackendId>(id));
-    if (s.kind == BackendKind::kOffline) {
-      total.offline_queries += s.queries;
-    } else {
-      total.online_queries += s.queries;
-    }
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.crn_hits += s.crn_hits;
-    total.shed_total += s.shedded;
-    total.deadline_rejected += s.deadline_rejected;
-    total.cancelled_total += s.cancelled;
-    total.backends.push_back(std::move(s));
+    total.add_backend(backend_stats(static_cast<BackendId>(id)));
   }
-  total.query_latency_ns = query_latency_->snapshot();
-  total.queue_depth = queue_depth_->snapshot();
+  merge_telemetry(total);
   if (const auto speculation = speculation_.load(std::memory_order_acquire)) {
     total.speculation = speculation->view();
   }
-  // Same backend-row aggregation ShardRouter::stats() does, so a standalone
-  // service reports reconnect/shed activity in the overload summary row too.
-  // Watermark sheds ONLY: deadline rejections already have their own total,
-  // and folding s.rejected() in here counted each of them in two rows.
-  for (const BackendStats& s : total.backends) {
-    total.farm.reconnects += s.rpc_reconnects;
-    total.farm.shed_total += s.shedded;
-  }
   return total;
+}
+
+void EnvService::merge_telemetry(EnvServiceStats& stats) const {
+  stats.query_latency_ns.merge(query_latency_->snapshot());
+  stats.queue_depth.merge(queue_depth_->snapshot());
 }
 
 void EnvService::reset_stats() {
   const auto snapshot = registry_.load(std::memory_order_acquire);
   for (Backend* backend : *snapshot) {
-    backend->queries.store(0, std::memory_order_relaxed);
-    backend->cache_hits.store(0, std::memory_order_relaxed);
-    backend->cache_misses.store(0, std::memory_order_relaxed);
-    backend->crn_hits.store(0, std::memory_order_relaxed);
-    backend->episodes.store(0, std::memory_order_relaxed);
-    backend->shedded.store(0, std::memory_order_relaxed);
-    backend->deadline_rejected.store(0, std::memory_order_relaxed);
-    backend->cancelled.store(0, std::memory_order_relaxed);
+    reset_fields(*backend);
     backend->impl->reset_stats();  // backend-owned counters (rpc retries/failures)
   }
   metrics_.reset();

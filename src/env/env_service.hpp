@@ -150,6 +150,10 @@ class EnvService final : public EnvClient {
   /// prefetch depth against it.
   std::size_t outstanding_queries() const noexcept override;
 
+  /// Merge this service's serving telemetry (query latency, queue depth)
+  /// into `stats`; ShardRouter::stats() calls it once per shard.
+  void merge_telemetry(EnvServiceStats& stats) const;
+
   /// Attach a speculation planner's counter block (reported via stats()).
   void attach_speculation(std::shared_ptr<const SpeculationState> speculation) override;
 
@@ -167,14 +171,8 @@ class EnvService final : public EnvClient {
  private:
   struct Backend {
     std::shared_ptr<const EnvBackend> impl;
-    std::atomic<std::uint64_t> queries{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> crn_hits{0};
-    std::atomic<std::uint64_t> episodes{0};
-    std::atomic<std::uint64_t> shedded{0};
-    std::atomic<std::uint64_t> deadline_rejected{0};
-    std::atomic<std::uint64_t> cancelled{0};
+    ATLAS_BACKEND_SERVICE_COUNTERS(ATLAS_STATS_ATOMIC)
+    ATLAS_STATS_VISITOR(ATLAS_BACKEND_SERVICE_COUNTERS)
   };
   /// Read-mostly registry snapshot: rebuilt on (rare) registration, loaded
   /// lock-free on every query. Backends live in a deque, so the pointers
@@ -260,9 +258,6 @@ class EnvService final : public EnvClient {
   telemetry::Histogram* queue_depth_ = nullptr;    ///< Owned by metrics_.
   /// env.arena_high_water_bytes: per-worker episode-arena footprint.
   telemetry::Histogram* arena_high_water_ = nullptr;
-  telemetry::Counter* shed_total_ = nullptr;       ///< env.shed_total (owned by metrics_).
-  telemetry::Counter* deadline_rejected_ = nullptr;  ///< env.deadline_rejected.
-  telemetry::Counter* cancelled_total_ = nullptr;    ///< env.cancelled_total.
 
   /// Counter block of an attached SpeculationPlanner (null until attached).
   std::atomic<std::shared_ptr<const SpeculationState>> speculation_;

@@ -38,19 +38,7 @@ const char* to_string(WorkerState state) noexcept {
 FarmView FarmState::view() const {
   FarmView view;
   view.active = true;
-  view.workers = workers_total.load(std::memory_order_relaxed);
-  view.workers_serving = workers_serving.load(std::memory_order_relaxed);
-  view.workers_suspect = workers_suspect.load(std::memory_order_relaxed);
-  view.workers_joined = workers_joined.load(std::memory_order_relaxed);
-  view.workers_lost = workers_lost.load(std::memory_order_relaxed);
-  view.workers_drained = workers_drained.load(std::memory_order_relaxed);
-  view.heartbeats_missed = heartbeats_missed.load(std::memory_order_relaxed);
-  view.episodes_redispatched = episodes_redispatched.load(std::memory_order_relaxed);
-  view.memo_entries_migrated = memo_entries_migrated.load(std::memory_order_relaxed);
-  view.backends_migrated = backends_migrated.load(std::memory_order_relaxed);
-  view.hedges = hedges.load(std::memory_order_relaxed);
-  view.hedge_wins = hedge_wins.load(std::memory_order_relaxed);
-  view.breaker_trips = breaker_trips.load(std::memory_order_relaxed);
+  load_fields(*this, view);
   return view;
 }
 
@@ -375,10 +363,7 @@ void FailoverBackend::fill_stats(BackendStats& stats) const {
   for (const Replica& replica : *replicas) {
     BackendStats replica_stats;
     replica.backend->fill_stats(replica_stats);
-    stats.rpc_retries += replica_stats.rpc_retries;
-    stats.rpc_failures += replica_stats.rpc_failures;
-    stats.rpc_reconnects += replica_stats.rpc_reconnects;
-    stats.rpc_rtt_ns.merge(replica_stats.rpc_rtt_ns);
+    add_fields(stats, replica_stats);
   }
 }
 
@@ -404,50 +389,6 @@ FarmController::~FarmController() {
   // in-flight episodes hit a null controller instead of a dangling one.
   std::scoped_lock lock(state_->controller_mutex_);
   state_->controller_ = nullptr;
-}
-
-void FarmController::publish_metrics() const {
-  if (options_.metrics == nullptr) return;
-  // Mirror the counters into telemetry (reset+add: these are low-rate
-  // control-plane events, not hot-path increments).
-  const auto mirror = [&](const char* name, std::uint64_t value) {
-    auto& counter = options_.metrics->counter(name);
-    counter.reset();
-    counter.add(value);
-  };
-  const FarmView view = state_->view();
-  mirror("farm.workers_serving", view.workers_serving);
-  mirror("farm.workers_suspect", view.workers_suspect);
-  mirror("farm.workers_joined", view.workers_joined);
-  mirror("farm.workers_lost", view.workers_lost);
-  mirror("farm.workers_drained", view.workers_drained);
-  mirror("farm.heartbeats_missed", view.heartbeats_missed);
-  mirror("farm.episodes_redispatched", view.episodes_redispatched);
-  mirror("farm.memo_entries_migrated", view.memo_entries_migrated);
-  mirror("farm.backends_migrated", view.backends_migrated);
-  mirror("farm.hedges", view.hedges);
-  mirror("farm.hedge_wins", view.hedge_wins);
-  mirror("farm.breaker_trips", view.breaker_trips);
-  // Reconnect/shed totals live on the backend rows / services, not in
-  // FarmState; sum them across this controller's failover backends so the
-  // registry carries the whole overload story in one place.
-  std::uint64_t reconnects = 0;
-  std::uint64_t shed = 0;
-  for (const auto& [global, failover] : failover_backends_) {
-    BackendStats stats;
-    failover->fill_stats(stats);
-    reconnects += stats.rpc_reconnects;
-    (void)global;
-  }
-  for (std::size_t i = 0; i < router_.shard_count(); ++i) {
-    const EnvServiceStats shard = router_.shard(i).stats();
-    // Watermark sheds only: deadline rejections are already published as
-    // env.deadline_rejected, and folding them in here counted one rejection
-    // under two telemetry names.
-    shed += shard.shed_total;
-  }
-  mirror("farm.reconnects", reconnects);
-  mirror("farm.shed_total", shed);
 }
 
 void FarmController::set_state_locked(Worker& worker, WorkerState next) {
@@ -510,10 +451,9 @@ std::uint32_t FarmController::add_worker(std::shared_ptr<WorkerControl> control)
   }
 
   workers_.push_back(std::move(worker));
-  state_->workers_total.fetch_add(1, std::memory_order_relaxed);
+  state_->workers.fetch_add(1, std::memory_order_relaxed);
   state_->workers_joined.fetch_add(1, std::memory_order_relaxed);
   set_state_locked(workers_.back(), WorkerState::kServing);
-  publish_metrics();
   return index;
 }
 
@@ -589,8 +529,7 @@ void FarmController::drain_worker(std::uint32_t index) {
     }
     set_state_locked(worker, WorkerState::kDead);
     state_->workers_drained.fetch_add(1, std::memory_order_relaxed);
-    publish_metrics();
-  }
+    }
 }
 
 void FarmController::mark_dead_locked(std::uint32_t index) {
@@ -611,7 +550,6 @@ void FarmController::report_fault(std::uint32_t index) {
   // Demote on data-plane evidence; the next heartbeat sweep either clears
   // the suspicion (transient blip) or escalates to dead.
   set_state_locked(worker, WorkerState::kSuspect);
-  publish_metrics();
 }
 
 void FarmController::poll_once() {
@@ -660,7 +598,6 @@ void FarmController::poll_once() {
     }
   }
   std::scoped_lock lock(mutex_);
-  publish_metrics();
 }
 
 void FarmController::start() {

@@ -13,7 +13,6 @@
 #include "env/backend.hpp"
 #include "env/farm_types.hpp"
 #include "env/shard_router.hpp"
-#include "telemetry/registry.hpp"
 
 namespace atlas::env {
 
@@ -37,7 +36,7 @@ enum class WorkerState : std::uint8_t {
 const char* to_string(WorkerState state) noexcept;
 
 /// Control-plane handle to one worker, transport-agnostic: the rpc layer
-/// adapts RemoteBackend's wire-v4 round-trips onto this
+/// adapts RemoteBackend's wire round-trips onto this
 /// (rpc/worker_control.hpp), and tests drive the controller with in-process
 /// fakes. All methods may throw (std::exception) on a sick worker; heartbeat
 /// failure IS the liveness signal.
@@ -70,7 +69,7 @@ struct HedgePolicy {
   /// distribution: once `min_samples` RTTs exist, an attempt that outlives
   /// this quantile of past episodes is probably stuck, and a second attempt
   /// is launched on the next candidate replica (first response wins; the
-  /// loser is cancelled via the wire-v4 kCancel).
+  /// loser is cancelled via the wire kCancel).
   double quantile = 0.95;
   std::uint64_t min_samples = 32;
   /// Clamp on the learned delay.
@@ -106,19 +105,8 @@ struct BreakerPolicy {
 /// ~FarmController; fault reports after that are counted but change nothing.
 class FarmState {
  public:
-  std::atomic<std::uint64_t> workers_total{0};
-  std::atomic<std::uint64_t> workers_serving{0};
-  std::atomic<std::uint64_t> workers_suspect{0};
-  std::atomic<std::uint64_t> workers_joined{0};
-  std::atomic<std::uint64_t> workers_lost{0};
-  std::atomic<std::uint64_t> workers_drained{0};
-  std::atomic<std::uint64_t> heartbeats_missed{0};
-  std::atomic<std::uint64_t> episodes_redispatched{0};
-  std::atomic<std::uint64_t> memo_entries_migrated{0};
-  std::atomic<std::uint64_t> backends_migrated{0};
-  std::atomic<std::uint64_t> hedges{0};
-  std::atomic<std::uint64_t> hedge_wins{0};
-  std::atomic<std::uint64_t> breaker_trips{0};
+  ATLAS_FARM_FIELDS(ATLAS_STATS_ATOMIC)
+  ATLAS_STATS_VISITOR(ATLAS_FARM_FIELDS)
 
   FarmView view() const;
 
@@ -236,9 +224,6 @@ struct FarmControllerOptions {
   /// FailoverBackend this controller creates.
   HedgePolicy hedge;
   BreakerPolicy breaker;
-  /// Mirror farm counters into this registry as `farm.*` telemetry counters
-  /// (e.g. a shard's metrics(), so JSON reports include the farm view).
-  telemetry::MetricRegistry* metrics = nullptr;
 };
 
 /// The farm's registry and health authority, attached to a ShardRouter.
@@ -300,7 +285,6 @@ class FarmController {
   void set_state_locked(Worker& worker, WorkerState next);
   void mark_dead_locked(std::uint32_t index);
   void report_fault(std::uint32_t worker);  // via FarmState
-  void publish_metrics() const;
 
   friend class FarmState;
 

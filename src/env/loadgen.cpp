@@ -29,40 +29,6 @@ SliceConfig random_config(math::Rng& rng) {
   return config.clamped();
 }
 
-env::EnvServiceStats stats_delta(const EnvServiceStats& before, EnvServiceStats now) {
-  for (std::size_t i = 0; i < before.backends.size() && i < now.backends.size(); ++i) {
-    now.backends[i].queries -= before.backends[i].queries;
-    now.backends[i].cache_hits -= before.backends[i].cache_hits;
-    now.backends[i].cache_misses -= before.backends[i].cache_misses;
-    now.backends[i].crn_hits -= before.backends[i].crn_hits;
-    now.backends[i].episodes -= before.backends[i].episodes;
-    now.backends[i].shedded -= before.backends[i].shedded;
-    now.backends[i].deadline_rejected -= before.backends[i].deadline_rejected;
-    now.backends[i].cancelled -= before.backends[i].cancelled;
-    now.backends[i].rpc_retries -= before.backends[i].rpc_retries;
-    now.backends[i].rpc_failures -= before.backends[i].rpc_failures;
-    now.backends[i].rpc_reconnects -= before.backends[i].rpc_reconnects;
-    now.backends[i].rpc_rtt_ns.subtract(before.backends[i].rpc_rtt_ns);
-  }
-  now.offline_queries -= before.offline_queries;
-  now.online_queries -= before.online_queries;
-  now.cache_hits -= before.cache_hits;
-  now.cache_misses -= before.cache_misses;
-  now.crn_hits -= before.crn_hits;
-  now.shed_total -= before.shed_total;
-  now.deadline_rejected -= before.deadline_rejected;
-  now.cancelled_total -= before.cancelled_total;
-  // Speculation counters are cumulative per planner; report the delta too.
-  now.speculation.launched -= before.speculation.launched;
-  now.speculation.hits -= before.speculation.hits;
-  now.speculation.cancelled -= before.speculation.cancelled;
-  now.speculation.wasted -= before.speculation.wasted;
-  now.query_latency_ns.subtract(before.query_latency_ns);
-  now.queue_depth.subtract(before.queue_depth);
-  now.rpc_service_ns.subtract(before.rpc_service_ns);
-  return now;
-}
-
 }  // namespace
 
 LoadPlan build_load_plan(const LoadPlanOptions& options) {
@@ -297,7 +263,7 @@ LoadPointResult run_load_point(EnvClient& client, const LoadPlan& plan,
   const std::uint64_t wall_ns = std::max<std::uint64_t>(1, last_completion_ns.load());
   result.wall_s = static_cast<double>(wall_ns) / 1e9;
   result.achieved_qps = static_cast<double>(result.completed) / result.wall_s;
-  result.stats = stats_delta(before, client.stats());
+  result.stats = client.stats().since(before);
   return result;
 }
 

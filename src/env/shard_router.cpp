@@ -136,42 +136,16 @@ EnvServiceStats ShardRouter::stats() const {
   const auto routes = routes_.load(std::memory_order_acquire);
   total.backends.reserve(routes->size());
   for (const Route& route : *routes) {
-    BackendStats s = shards_[route.shard]->backend_stats(route.local);
-    if (s.kind == BackendKind::kOffline) {
-      total.offline_queries += s.queries;
-    } else {
-      total.online_queries += s.queries;
-    }
-    total.cache_hits += s.cache_hits;
-    total.cache_misses += s.cache_misses;
-    total.crn_hits += s.crn_hits;
-    total.shed_total += s.shedded;
-    total.deadline_rejected += s.deadline_rejected;
-    total.cancelled_total += s.cancelled;
-    total.backends.push_back(std::move(s));
+    total.add_backend(shards_[route.shard]->backend_stats(route.local));
   }
   // Serving telemetry merges exactly (log-scale buckets sum), so the router
   // reports farm-wide latency/queue-depth quantiles, not per-shard ones.
-  for (const auto& shard : shards_) {
-    const EnvServiceStats shard_stats = shard->stats();
-    total.query_latency_ns.merge(shard_stats.query_latency_ns);
-    total.queue_depth.merge(shard_stats.queue_depth);
-    total.rpc_service_ns.merge(shard_stats.rpc_service_ns);
-  }
+  for (const auto& shard : shards_) shard->merge_telemetry(total);
   if (const auto farm = farm_.load(std::memory_order_acquire)) {
     total.farm = farm->view();
   }
   if (const auto speculation = speculation_.load(std::memory_order_acquire)) {
     total.speculation = speculation->view();
-  }
-  // Reconnect/shed visibility rides on the backend rows (rpc::RemoteBackend
-  // fill_stats / service admission counters), so it covers remote backends
-  // registered directly on a shard, not just farm-managed replicas.
-  // Watermark sheds ONLY: deadline rejections already have their own total,
-  // and folding s.rejected() in here counted each of them in two rows.
-  for (const BackendStats& s : total.backends) {
-    total.farm.reconnects += s.rpc_reconnects;
-    total.farm.shed_total += s.shedded;
   }
   return total;
 }

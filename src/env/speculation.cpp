@@ -50,7 +50,6 @@ SpeculationPlanner::SpeculationPlanner(EnvClient& client, SpeculationOptions opt
   max_outstanding_ =
       options_.max_outstanding > 0 ? options_.max_outstanding : options_.top_k * 4;
   client_.attach_speculation(state_);
-  publish_metrics();
 }
 
 SpeculationPlanner::~SpeculationPlanner() { close_iteration(); }
@@ -131,23 +130,6 @@ void SpeculationPlanner::close_iteration() {
       state_->cancelled.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  publish_metrics();
-}
-
-void SpeculationPlanner::publish_metrics() {
-  if (options_.metrics == nullptr) return;
-  // Reset+add mirror (like FarmController::publish_metrics): low-rate
-  // iteration-close events, not hot-path increments.
-  const auto mirror = [&](const char* name, std::uint64_t value) {
-    auto& counter = options_.metrics->counter(name);
-    counter.reset();
-    counter.add(value);
-  };
-  const SpeculationView v = state_->view();
-  mirror("env.speculation_launched", v.launched);
-  mirror("env.speculation_hits", v.hits);
-  mirror("env.speculation_cancelled", v.cancelled);
-  mirror("env.speculation_wasted", v.wasted);
 }
 
 }  // namespace atlas::env

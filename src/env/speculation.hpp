@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "env/client.hpp"
-#include "telemetry/registry.hpp"
 
 namespace atlas::env {
 
@@ -19,20 +18,15 @@ namespace atlas::env {
 /// invariant `launched == hits + cancelled + wasted` is settled exactly.
 class SpeculationState {
  public:
+  ATLAS_SPECULATION_FIELDS(ATLAS_STATS_ATOMIC)
+  ATLAS_STATS_VISITOR(ATLAS_SPECULATION_FIELDS)
+
   SpeculationView view() const {
     SpeculationView v;
     v.active = true;
-    v.launched = launched.load(std::memory_order_relaxed);
-    v.hits = hits.load(std::memory_order_relaxed);
-    v.cancelled = cancelled.load(std::memory_order_relaxed);
-    v.wasted = wasted.load(std::memory_order_relaxed);
+    load_fields(*this, v);
     return v;
   }
-
-  std::atomic<std::uint64_t> launched{0};
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> cancelled{0};
-  std::atomic<std::uint64_t> wasted{0};
 };
 
 struct SpeculationOptions {
@@ -49,9 +43,6 @@ struct SpeculationOptions {
   /// a speculation that would be shed on arrival is pure accounting noise.
   /// 0 = no watermark to respect.
   std::size_t shed_watermark = 0;
-  /// Mirror speculation counters into this registry as env.speculation_*
-  /// (e.g. an EnvService's metrics()). Refreshed at every iteration close.
-  telemetry::MetricRegistry* metrics = nullptr;
 };
 
 /// Optimistic episode prefetching above the DES (ROOT-Sim's optimistic
@@ -134,7 +125,6 @@ class SpeculationPlanner {
   };
 
   static Key key_of(const EnvQuery& query);
-  void publish_metrics();
 
   EnvClient& client_;
   SpeculationOptions options_;

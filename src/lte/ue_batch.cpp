@@ -2,10 +2,6 @@
 
 #include <algorithm>
 
-#if defined(ATLAS_UE_BATCH_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace atlas::lte {
 
 using atlas::math::Rng;
@@ -150,29 +146,11 @@ void UeBatch::run_dl_tti(double now, int budget_prbs, int mcs_offset, Rng& rng,
     // to `uniform() < p` (see bler_threshold_), so the whole Bernoulli
     // sweep is one serial RNG chain plus integer compares.
     int errs = 0;
-#if defined(ATLAS_UE_BATCH_SIMD) && defined(__AVX2__)
-    // Explicit SIMD for the compare half of the sweep: draws are filled by
-    // the (inherently serial) RNG first, then compared 4-wide. Both values
-    // are < 2^53, so the signed 64-bit compare is exact; comparisons carry
-    // no rounding, so this is bit-equivalent under every FP policy (which
-    // is why the FP loops elsewhere stay with the auto-vectorizer).
-    for (int i = 0; i < granted; ++i) draw53_[i] = rng.next_u64() >> 11;
-    int i = 0;
-    for (; i + 4 <= granted; i += 4) {
-      const __m256i k = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(draw53_ + i));
-      const __m256i t = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(thr + i));
-      const int mask =
-          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, k)));
-      errs += __builtin_popcount(static_cast<unsigned>(mask));
-    }
-    for (; i < granted; ++i) errs += draw53_[i] < thr[i] ? 1 : 0;
-#else
     for (int i = 0; i < granted; ++i) {
       const std::uint64_t k = rng.next_u64() >> 11;
       draw53_[i] = k;
       errs += k < thr[i] ? 1 : 0;
     }
-#endif
     out.tb_total = granted;
     out.tb_err = errs;
 

@@ -12,7 +12,7 @@
 
 namespace atlas::rpc {
 
-/// Episode-RPC wire format, version 1.
+/// Episode-RPC wire format.
 ///
 /// Every frame payload is:
 ///
@@ -25,34 +25,16 @@ namespace atlas::rpc {
 /// Transports add their own length prefix (see transport.hpp); the codec
 /// only sees complete payloads.
 ///
-/// Versioning: `kWireVersion` is bumped on any layout change; decoders
-/// accept the contiguous range [kMinWireVersion, kWireVersion] and reject
-/// everything else (a worker and client from incompatible builds fail loudly
-/// instead of misreading). All v3 message bodies are byte-identical in v4 —
-/// a v3 peer keeps working against a v4 server, it just cannot speak the
-/// farm-control messages — so replies echo the REQUESTER's version and
-/// v4-only message types are rejected when stamped with a v3 header.
+/// Versioning: every peer is built from one tree, so there is exactly one
+/// version. `kWireVersion` is bumped on any layout change, and decoders
+/// reject every other version: a worker and client from different builds
+/// fail loudly instead of misreading.
 inline constexpr std::uint32_t kWireMagic = 0x41544c53u;  // "ATLS"
-/// v2: EnvQuery carries the `crn` tag (common-random-numbers plan marker), so
-/// worker-side caches attribute cross-iteration reuse from remote clients.
-/// v3: stats-snapshot messages (kStatsRequest/kStatsSnapshot) export a
-/// worker's full EnvServiceStats — per-backend counters plus the serving
-/// telemetry histograms (query latency, queue depth, RPC service time) — so
-/// a router aggregates farm-wide telemetry without scraping worker stdout.
-/// v4: farm control plane — worker register/announce (kHello/kAnnounce),
-/// heartbeat (kHeartbeat/kHeartbeatAck), memo-table migration
-/// (kMemoExport/kMemoSnapshot), runtime backend install
-/// (kInstallBackend/kInstallAck), and best-effort episode cancel (kCancel).
-/// v5: overload protection — kQuery carries the deadline budget (f64 ms) and
-/// shed priority (u8), kResult carries the typed RejectReason (u8), and the
-/// stats snapshot appends per-backend shed/deadline/reconnect counters plus
-/// the service-level shed totals. No new message types: a v<=4 peer encodes
-/// and decodes the shorter bodies as before (deadline/priority/rejection
-/// default to "none" on decode), so the compatibility window only grows.
-inline constexpr std::uint16_t kWireVersion = 5;
-/// Oldest version this build still decodes. v3/v4 bodies are strict prefixes
-/// of v5, so the compatibility window is free to keep.
-inline constexpr std::uint16_t kMinWireVersion = 3;
+/// v6: the stats snapshot carries every field of the stats field lists
+/// (env/stats_fields.hpp) in list order — per-backend rows, then the
+/// service totals and serving histograms — so a counter added to a list
+/// reaches the wire with no codec edit.
+inline constexpr std::uint16_t kWireVersion = 6;
 
 /// Upper bound on one frame payload; a length prefix beyond this is treated
 /// as a corrupted stream, not an allocation request.
@@ -64,7 +46,7 @@ enum class MsgType : std::uint16_t {
   kError = 3,          ///< worker -> client: execution/decode failed (message string)
   kStatsRequest = 4,   ///< client -> worker: export your stats snapshot (empty body)
   kStatsSnapshot = 5,  ///< worker -> client: EnvServiceStats incl. telemetry histograms
-  // --- v4: farm control plane -----------------------------------------------
+  // --- farm control plane ---------------------------------------------------
   kHello = 6,           ///< controller -> worker: who are you? (empty body)
   kAnnounce = 7,        ///< worker -> controller: WorkerAnnounce (capacity + backends)
   kHeartbeat = 8,       ///< controller -> worker: are you alive? (empty body)
@@ -75,10 +57,6 @@ enum class MsgType : std::uint16_t {
   kInstallAck = 13,     ///< worker -> controller: InstallResult
   kCancel = 14,         ///< client -> worker: drop the named request if still queued (no reply)
 };
-
-/// First message type that only exists at wire v4; a v3-stamped frame
-/// carrying one of these is a protocol violation, not a decodable message.
-inline constexpr std::uint16_t kFirstV4MsgType = 6;
 
 /// Malformed frame: bad magic/version/type, truncated body, trailing bytes.
 struct CodecError : std::runtime_error {
@@ -138,34 +116,21 @@ class WireReader {
 struct FrameHeader {
   MsgType type = MsgType::kQuery;
   std::uint64_t request_id = 0;
-  /// Version the SENDER stamped on the frame — servers echo it back so a v3
-  /// client round-trips entirely at v3 against a v4 worker.
-  std::uint16_t version = kWireVersion;
 };
 
-/// Every encoder takes the wire version to stamp on the frame (defaulting to
-/// this build's); servers pass the requester's version so replies decode on
-/// old peers. Bodies shared with v3 are encoded identically at either
-/// version.
-///
 /// `query.backend` carries the WORKER-side backend id (the client rewrites
 /// its own id before encoding).
-std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQuery& query,
-                                       std::uint16_t version = kWireVersion);
+std::vector<std::uint8_t> encode_query(std::uint64_t request_id, const env::EnvQuery& query);
 std::vector<std::uint8_t> encode_result(std::uint64_t request_id,
-                                        const env::EpisodeResult& result,
-                                        std::uint16_t version = kWireVersion);
-std::vector<std::uint8_t> encode_error(std::uint64_t request_id, const std::string& message,
-                                       std::uint16_t version = kWireVersion);
-std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id,
-                                               std::uint16_t version = kWireVersion);
+                                        const env::EpisodeResult& result);
+std::vector<std::uint8_t> encode_error(std::uint64_t request_id, const std::string& message);
+std::vector<std::uint8_t> encode_stats_request(std::uint64_t request_id);
 /// Histograms ride as sparse (bucket index, count) pairs — an idle worker's
 /// snapshot is a few hundred bytes, not kBucketCount * 8.
 std::vector<std::uint8_t> encode_stats_snapshot(std::uint64_t request_id,
-                                                const env::EnvServiceStats& stats,
-                                                std::uint16_t version = kWireVersion);
+                                                const env::EnvServiceStats& stats);
 
-// ---- v4 farm-control messages (always stamped v4) ---------------------------
+// ---- farm-control messages ----------------------------------------------------
 
 std::vector<std::uint8_t> encode_hello(std::uint64_t request_id);
 std::vector<std::uint8_t> encode_announce(std::uint64_t request_id,
@@ -182,21 +147,18 @@ std::vector<std::uint8_t> encode_install_ack(std::uint64_t request_id,
                                              const env::InstallResult& result);
 std::vector<std::uint8_t> encode_cancel(std::uint64_t request_id);
 
-/// Validates magic + version (any version in [kMinWireVersion, kWireVersion];
-/// v4-only message types additionally require a v4 stamp) and returns
-/// {type, request_id, version}; the reader is left positioned at the body.
-/// Throws CodecError on any mismatch.
+/// Validates magic + version (exactly kWireVersion) and returns
+/// {type, request_id}; the reader is left positioned at the body. Throws
+/// CodecError on any mismatch.
 FrameHeader decode_header(WireReader& reader);
 
 /// Body decoders; each consumes the reader fully (CodecError otherwise).
-/// Bodies that grew at v5 take the FRAME's version (from decode_header) so a
-/// v3/v4 peer's shorter body decodes with the new fields defaulted.
-env::EnvQuery decode_query_body(WireReader& reader, std::uint16_t version = kWireVersion);
-env::EpisodeResult decode_result_body(WireReader& reader,
-                                      std::uint16_t version = kWireVersion);
+/// Element counts are bounded by the bytes left in the frame before any
+/// allocation.
+env::EnvQuery decode_query_body(WireReader& reader);
+env::EpisodeResult decode_result_body(WireReader& reader);
 std::string decode_error_body(WireReader& reader);
-env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader,
-                                                std::uint16_t version = kWireVersion);
+env::EnvServiceStats decode_stats_snapshot_body(WireReader& reader);
 env::WorkerAnnounce decode_announce_body(WireReader& reader);
 env::WorkerHealth decode_heartbeat_ack_body(WireReader& reader);
 env::BackendId decode_memo_export_body(WireReader& reader);

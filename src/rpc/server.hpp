@@ -57,7 +57,7 @@ class EpisodeRpcServer {
   /// episode answered so far; exported to clients via kStatsRequest.
   telemetry::HistogramData service_time() const { return service_time_.snapshot(); }
 
-  // ---- farm control plane (wire v4) ----------------------------------------
+  // ---- farm control plane -------------------------------------------------
 
   /// What this worker tells a controller on kHello: build, wire version,
   /// pool size, cache capacity, and every registered backend with its

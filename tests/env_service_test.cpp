@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <latch>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -74,6 +75,31 @@ class BlockingBackend final : public ae::EnvBackend {
   mutable std::atomic<int> started_{0};
   mutable std::atomic<bool> release_{false};
 };
+
+/// Give one listed stats field its own nonzero value (counters are set,
+/// histograms gain one sample), for the field-list coverage test.
+void grow_field(std::uint64_t& field, std::uint64_t value) { field += value; }
+void grow_field(atlas::telemetry::HistogramData& field, std::uint64_t value) {
+  field.record(value);
+}
+
+void expect_delta(const char* name, ae::FieldKind kind, std::uint64_t delta, std::uint64_t now,
+                  std::uint64_t start) {
+  EXPECT_EQ(delta, kind == ae::FieldKind::kGauge ? now : now - start) << name;
+}
+void expect_delta(const char* name, ae::FieldKind, const atlas::telemetry::HistogramData& delta,
+                  const atlas::telemetry::HistogramData& now,
+                  const atlas::telemetry::HistogramData& start) {
+  EXPECT_EQ(delta.count(), now.count() - start.count()) << name;
+  EXPECT_EQ(delta.sum(), now.sum() - start.sum()) << name;
+}
+
+void expect_zero(const char* name, ae::FieldKind, std::uint64_t value) {
+  EXPECT_EQ(value, 0u) << name;
+}
+void expect_zero(const char* name, ae::FieldKind, const atlas::telemetry::HistogramData& value) {
+  EXPECT_TRUE(value.empty()) << name;
+}
 
 }  // namespace
 
@@ -255,6 +281,83 @@ TEST(EnvService, StatsSplitOfflineFromOnline) {
 
   service.reset_stats();
   EXPECT_EQ(service.stats().total_queries(), 0u);
+}
+
+TEST(EnvServiceStats, FieldListsDriveDeltaFoldAndReset) {
+  // Every listed field (env/stats_fields.hpp) gets its own value through
+  // the visitor, so a counter added to a list is covered here with no test
+  // edit.
+  std::uint64_t next = 1;
+  const auto grow = [&](const char*, ae::FieldKind, auto& field) {
+    grow_field(field, 10 * next++);
+  };
+  const auto grow_all = [&](ae::EnvServiceStats& stats) {
+    for (auto& row : stats.backends) ae::BackendStats::visit_fields(grow, row);
+    ae::EnvServiceStats::visit_fields(grow, stats);
+    ae::FarmView::visit_fields(grow, stats.farm);
+    ae::SpeculationView::visit_fields(grow, stats.speculation);
+  };
+
+  // Fold: each total sums its row field over the rows its filter admits.
+  ae::BackendStats offline_row;
+  offline_row.kind = ae::BackendKind::kOffline;
+  ae::BackendStats::visit_fields(grow, offline_row);
+  ae::BackendStats online_row;
+  online_row.kind = ae::BackendKind::kOnline;
+  ae::BackendStats::visit_fields(grow, online_row);
+  ae::EnvServiceStats start;
+  start.add_backend(offline_row);
+  start.add_backend(online_row);
+  ASSERT_EQ(start.backends.size(), 2u);
+  ae::EnvServiceStats::visit_fold([&](auto total, auto row_field, ae::RowFilter rows) {
+    std::uint64_t expected = 0;
+    if (rows != ae::RowFilter::kOnline) expected += offline_row.*row_field;
+    if (rows != ae::RowFilter::kOffline) expected += online_row.*row_field;
+    EXPECT_GT(expected, 0u);
+    EXPECT_EQ(start.*total, expected);
+  });
+
+  // Delta: counters and histograms differenced, gauges passed through, and
+  // a backend registered after `start` reported in full.
+  ae::FarmView::visit_fields(grow, start.farm);
+  ae::SpeculationView::visit_fields(grow, start.speculation);
+  ae::EnvServiceStats now = start;
+  now.backends.push_back(offline_row);
+  grow_all(now);
+  const ae::EnvServiceStats delta = now.since(start);
+  const auto check = [](const char* name, ae::FieldKind kind, const auto& d, const auto& n,
+                        const auto& s) { expect_delta(name, kind, d, n, s); };
+  ASSERT_EQ(delta.backends.size(), 3u);
+  for (std::size_t i = 0; i < start.backends.size(); ++i) {
+    ae::BackendStats::visit_fields(check, delta.backends[i], now.backends[i],
+                                   start.backends[i]);
+  }
+  ae::BackendStats::visit_fields(check, delta.backends[2], now.backends[2], ae::BackendStats{});
+  ae::EnvServiceStats::visit_fields(check, delta, now, start);
+  ae::FarmView::visit_fields(check, delta.farm, now.farm, start.farm);
+  ae::SpeculationView::visit_fields(check, delta.speculation, now.speculation,
+                                    start.speculation);
+
+  // Reset: a real service's rows and totals all return to zero.
+  ae::EnvService service(ae::EnvServiceOptions{.threads = 1});
+  const auto sim = service.add_simulator();
+  const auto real = service.add_real_network();
+  ae::EnvQuery crn = query(sim, 5);
+  crn.crn = true;
+  (void)service.run(crn);
+  (void)service.run(crn);
+  (void)service.run(query(real, 6));
+  auto fired = std::make_shared<ae::CancelToken>(true);
+  EXPECT_TRUE(service.submit_cancellable(query(sim, 7), fired).get().is_rejected());
+  ASSERT_GT(service.stats().crn_hits, 0u);
+  ASSERT_GT(service.stats().cancelled_total, 0u);
+  service.reset_stats();
+  const ae::EnvServiceStats reset = service.stats();
+  const auto zero = [](const char* name, ae::FieldKind kind, const auto& v) {
+    expect_zero(name, kind, v);
+  };
+  for (const auto& row : reset.backends) ae::BackendStats::visit_fields(zero, row);
+  ae::EnvServiceStats::visit_fields(zero, reset);
 }
 
 TEST(QueryHandle, InvalidHandleIsSafeNotUB) {

@@ -316,23 +316,20 @@ TEST(FarmController, FarmCountersSurviveControllerDestruction) {
   EXPECT_EQ(view.workers_joined, 1u);
 }
 
-TEST(FarmController, MetricsRegistryMirrorsFarmCounters) {
-  atlas::telemetry::MetricRegistry metrics;
-  ae::FarmControllerOptions options;
-  options.metrics = &metrics;
+TEST(FarmController, RouterStatsTrackFarmCounters) {
   ae::ShardRouter router(2);
-  ae::FarmController controller(router, options);
+  ae::FarmController controller(router);
   auto a = std::make_shared<FakeWorker>("a:1", std::vector{sim_info(7)});
   auto b = std::make_shared<FakeWorker>("b:2", std::vector{sim_info(7)});
   controller.add_worker(a);
   controller.add_worker(b);
-  EXPECT_EQ(metrics.counter("farm.workers_joined").value(), 2u);
-  EXPECT_EQ(metrics.counter("farm.workers_serving").value(), 2u);
+  EXPECT_EQ(router.stats().farm.workers_joined, 2u);
+  EXPECT_EQ(router.stats().farm.workers_serving, 2u);
 
   b->failing->store(true);
   controller.poll_once();
-  EXPECT_EQ(metrics.counter("farm.workers_suspect").value(), 1u);
-  EXPECT_EQ(metrics.counter("farm.heartbeats_missed").value(), 1u);
+  EXPECT_EQ(router.stats().farm.workers_suspect, 1u);
+  EXPECT_EQ(router.stats().farm.heartbeats_missed, 1u);
 }
 
 TEST(FarmController, AdmissionFailureRejectsTheWorker) {

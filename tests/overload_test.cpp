@@ -185,16 +185,12 @@ TEST(OverloadShedding, SpeculativeShedsAtSoftWatermarkNormalAtHard) {
             sim_stats.queries);
   EXPECT_EQ(sim_stats.episodes, 1u);  // only the admitted query ran
 
-  // The same invariant at SUMMARY level: totals must balance exactly, and
-  // the farm fold must count each watermark shed once (it used to fold
-  // rejected() = shed + deadline on top of the dedicated totals, so one
-  // rejection showed up under two telemetry names).
+  // The same invariant at SUMMARY level: totals must balance exactly.
   const auto totals = service.stats();
   EXPECT_EQ(totals.shed_total, 2u);
   EXPECT_EQ(totals.cache_hits + totals.cache_misses + totals.shed_total +
                 totals.deadline_rejected + totals.cancelled_total,
             totals.total_queries());
-  EXPECT_EQ(totals.farm.shed_total, totals.shed_total);
 
   // Rejected queries release their outstanding slot: the gauge returns to 0,
   // so placement does not see phantom load.
@@ -318,11 +314,10 @@ TEST(OverloadDeadlines, ZeroDeadlineMeansNoDeadline) {
 }
 
 TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
-  // Regression: the farm fold in stats() used to add rejected() (= shedded +
-  // deadline_rejected) into farm.shed_total, which ALREADY sums the shedded
-  // counters — every deadline rejection was double-reported as a shed, and
-  // sheds were counted twice across the two telemetry names. Each rejection
-  // must appear exactly once, under its own name.
+  // Regression: stats() once folded rejected() (= shedded +
+  // deadline_rejected) into a second shed total, so every deadline
+  // rejection was double-reported as a shed. Each rejection must appear
+  // exactly once, under its own name.
   ae::EnvServiceOptions options;
   options.threads = 1;
   options.shed_watermark = 2;
@@ -348,8 +343,7 @@ TEST(OverloadDeadlines, ShedAndDeadlineRejectionsStayInTheirOwnTotals) {
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.shed_total, 1u);
-  EXPECT_EQ(stats.deadline_rejected, 1u);
-  EXPECT_EQ(stats.farm.shed_total, 1u) << "a deadline rejection is not a shed";
+  EXPECT_EQ(stats.deadline_rejected, 1u) << "a deadline rejection is not a shed";
   std::uint64_t rejected_sum = 0;
   for (const auto& b : stats.backends) rejected_sum += b.rejected();
   EXPECT_EQ(rejected_sum, stats.shed_total + stats.deadline_rejected + stats.cancelled_total);

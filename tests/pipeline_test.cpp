@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
 #include "env/env_service.hpp"
+#include "env/farm_controller.hpp"
+#include "env/shard_router.hpp"
 #include "atlas/pipeline.hpp"
 
 namespace ac = atlas::core;
@@ -32,6 +38,21 @@ ac::PipelineOptions tiny_pipeline() {
   return po;
 }
 
+/// A registered backend the pipeline never queries, reporting a lifetime
+/// reconnect count the way a long-lived remote backend would.
+class ReconnectedBackend final : public ae::EnvBackend {
+ public:
+  ae::EpisodeResult execute(const ae::EnvQuery&) const override {
+    throw std::logic_error("ReconnectedBackend is never queried");
+  }
+  ae::BackendKind kind() const noexcept override { return ae::BackendKind::kOffline; }
+  const std::string& name() const noexcept override { return name_; }
+  void fill_stats(ae::BackendStats& stats) const override { stats.rpc_reconnects = 5; }
+
+ private:
+  std::string name_ = "reconnected";
+};
+
 }  // namespace
 
 TEST(Pipeline, FullRunProducesAllTraces) {
@@ -62,6 +83,35 @@ TEST(Pipeline, RepeatedRunsReportPerRunStats) {
   const auto second = pipeline.run();
   EXPECT_EQ(first.env_stats.online_queries, first.online.history.size());
   EXPECT_EQ(second.env_stats.online_queries, second.online.history.size());
+}
+
+TEST(Pipeline, RunOnALongLivedFarmReportsDeltasNotLifetimeTotals) {
+  // Regression: the per-run delta once skipped rpc_reconnects and every
+  // farm counter, so a run on a long-lived farm reported lifetime totals
+  // beside per-run deltas.
+  ae::ShardRouter router(2, ae::EnvServiceOptions{.threads = 2});
+  const auto real = router.add_real_network();
+  const auto reconnected = router.register_backend(std::make_shared<ReconnectedBackend>());
+  auto farm = std::make_shared<ae::FarmState>();
+  farm->hedges = 4;
+  farm->episodes_redispatched = 3;
+  farm->workers_serving = 2;
+  farm->workers_suspect = 1;
+  router.attach_farm(farm);
+
+  auto po = tiny_pipeline();
+  po.run_stage1 = false;
+  po.run_stage2 = false;  // stage 3 only (kGpWhole): cheap, and no farm activity
+  ac::AtlasPipeline pipeline(router, real, po);
+  const auto result = pipeline.run();
+  const ae::EnvServiceStats& stats = result.env_stats;
+  EXPECT_EQ(stats.online_queries, po.stage3.iterations);
+  EXPECT_EQ(stats.backends.at(reconnected).rpc_reconnects, 0u);
+  EXPECT_EQ(stats.farm.hedges, 0u);
+  EXPECT_EQ(stats.farm.episodes_redispatched, 0u);
+  // Gauges are levels, not activity: they pass through undifferenced.
+  EXPECT_EQ(stats.farm.workers_serving, 2u);
+  EXPECT_EQ(stats.farm.workers_suspect, 1u);
 }
 
 TEST(Pipeline, ProgressCallbackSeesEveryStage) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "rpc/codec.hpp"
@@ -111,6 +112,49 @@ ae::EpisodeResult roundtrip_result(const ae::EpisodeResult& r, std::uint64_t id)
   EXPECT_EQ(header.type, ar::MsgType::kResult);
   EXPECT_EQ(header.request_id, id);
   return ar::decode_result_body(reader);
+}
+
+void fill_field(std::uint64_t& field, std::uint64_t value) { field = value; }
+void fill_field(atlas::telemetry::HistogramData& field, std::uint64_t value) {
+  field.record(value);
+  field.record(value * 7919);
+}
+
+/// A snapshot with every listed field (env/stats_fields.hpp) set to its own
+/// value, filled through the visitor: a counter added to a list is covered
+/// here with no test edit.
+ae::EnvServiceStats every_field_distinct() {
+  std::uint64_t next = 1;
+  const auto fill = [&](const char*, ae::FieldKind, auto& field) {
+    fill_field(field, 1000 * next++);
+  };
+  ae::EnvServiceStats stats;
+  for (const auto kind : {ae::BackendKind::kOffline, ae::BackendKind::kOnline}) {
+    ae::BackendStats row;
+    row.name = "row-" + std::to_string(next);
+    row.kind = kind;
+    row.cost_hint = static_cast<double>(next) + 0.5;
+    ae::BackendStats::visit_fields(fill, row);
+    stats.backends.push_back(std::move(row));
+  }
+  ae::EnvServiceStats::visit_fields(fill, stats);
+  return stats;
+}
+
+void expect_field_eq(const char* name, std::uint64_t back, std::uint64_t sent) {
+  EXPECT_EQ(back, sent) << name;
+}
+void expect_field_eq(const char* name, const atlas::telemetry::HistogramData& back,
+                     const atlas::telemetry::HistogramData& sent) {
+  EXPECT_EQ(back.counts(), sent.counts()) << name;
+  EXPECT_EQ(back.sum(), sent.sum()) << name;
+}
+
+template <typename View>
+void expect_fields_equal(const View& back, const View& sent) {
+  View::visit_fields([](const char* name, ae::FieldKind, const auto& b,
+                        const auto& s) { expect_field_eq(name, b, s); },
+                     back, sent);
 }
 
 }  // namespace
@@ -233,7 +277,7 @@ TEST(RpcCodec, TrailingGarbageIsRejected) {
 }
 
 TEST(RpcCodec, StatsSnapshotRoundTrips) {
-  // Wire v3: a worker's EnvServiceStats — counters, per-backend rows, and the
+  // A worker's EnvServiceStats — counters, per-backend rows, and the
   // sparse-encoded serving histograms — must survive the trip exactly.
   ae::EnvServiceStats stats;
   stats.offline_queries = 120;
@@ -262,34 +306,23 @@ TEST(RpcCodec, StatsSnapshotRoundTrips) {
   for (int s = 0; s < 40; ++s) stats.queue_depth.record(static_cast<std::uint64_t>(s % 5));
   for (int s = 0; s < 30; ++s) stats.rpc_service_ns.record(500000 + s);
 
-  const auto frame = ar::encode_stats_snapshot(42, stats);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kStatsSnapshot);
-  EXPECT_EQ(header.request_id, 42u);
-  const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader);
+  for (const ae::EnvServiceStats& sent : {stats, every_field_distinct()}) {
+    const auto frame = ar::encode_stats_snapshot(42, sent);
+    ar::WireReader reader(frame);
+    const auto header = ar::decode_header(reader);
+    EXPECT_EQ(header.type, ar::MsgType::kStatsSnapshot);
+    EXPECT_EQ(header.request_id, 42u);
+    const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader);
 
-  EXPECT_EQ(back.offline_queries, stats.offline_queries);
-  EXPECT_EQ(back.online_queries, stats.online_queries);
-  EXPECT_EQ(back.cache_hits, stats.cache_hits);
-  EXPECT_EQ(back.cache_misses, stats.cache_misses);
-  EXPECT_EQ(back.crn_hits, stats.crn_hits);
-  ASSERT_EQ(back.backends.size(), stats.backends.size());
-  for (std::size_t i = 0; i < stats.backends.size(); ++i) {
-    EXPECT_EQ(back.backends[i].name, stats.backends[i].name);
-    EXPECT_EQ(back.backends[i].kind, stats.backends[i].kind);
-    EXPECT_EQ(back.backends[i].queries, stats.backends[i].queries);
-    EXPECT_EQ(back.backends[i].crn_hits, stats.backends[i].crn_hits);
-    EXPECT_EQ(back.backends[i].episodes, stats.backends[i].episodes);
-    EXPECT_TRUE(same_bits(back.backends[i].cost_hint, stats.backends[i].cost_hint));
-    EXPECT_EQ(back.backends[i].rpc_retries, stats.backends[i].rpc_retries);
-    EXPECT_EQ(back.backends[i].rpc_rtt_ns.counts(), stats.backends[i].rpc_rtt_ns.counts());
-    EXPECT_EQ(back.backends[i].rpc_rtt_ns.sum(), stats.backends[i].rpc_rtt_ns.sum());
+    expect_fields_equal(back, sent);
+    ASSERT_EQ(back.backends.size(), sent.backends.size());
+    for (std::size_t i = 0; i < sent.backends.size(); ++i) {
+      EXPECT_EQ(back.backends[i].name, sent.backends[i].name);
+      EXPECT_EQ(back.backends[i].kind, sent.backends[i].kind);
+      EXPECT_TRUE(same_bits(back.backends[i].cost_hint, sent.backends[i].cost_hint));
+      expect_fields_equal(back.backends[i], sent.backends[i]);
+    }
   }
-  EXPECT_EQ(back.query_latency_ns.counts(), stats.query_latency_ns.counts());
-  EXPECT_EQ(back.query_latency_ns.sum(), stats.query_latency_ns.sum());
-  EXPECT_EQ(back.queue_depth.counts(), stats.queue_depth.counts());
-  EXPECT_EQ(back.rpc_service_ns.counts(), stats.rpc_service_ns.counts());
 }
 
 TEST(RpcCodec, EmptyStatsSnapshotRoundTrips) {
@@ -324,67 +357,38 @@ TEST(RpcCodec, ImplausibleElementCountsAreRejectedNotAllocated) {
   ar::WireReader reader(frame);
   (void)ar::decode_header(reader);
   EXPECT_THROW((void)ar::decode_result_body(reader), ar::CodecError);
-}
 
-// ---- wire v4: cross-version compatibility -----------------------------------
-
-TEST(RpcCodec, V3StampedFramesStillDecodeOnAV4Build) {
-  // A v3 peer's frames must decode unchanged: the v3 bodies are a strict
-  // subset of v4 (and of v5), and decode_header surfaces the sender's
-  // version so a server can echo it on the reply AND hand it to the body
-  // decoder (the v5 fields exist only at v5).
-  std::mt19937_64 rng(0x33u);
-  const ae::EnvQuery q = random_query(rng);
-  const auto frame = ar::encode_query(17, q, /*version=*/3);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.version, 3u);
-  EXPECT_EQ(header.type, ar::MsgType::kQuery);
-  const ae::EnvQuery back = ar::decode_query_body(reader, header.version);
-  EXPECT_EQ(back.workload.seed, q.workload.seed);
-  // A v3 body carries no overload fields; they come back as the defaults.
-  EXPECT_EQ(back.deadline_ms, 0.0);
-  EXPECT_EQ(back.priority, ae::QueryPriority::kNormal);
-
-  const ae::EpisodeResult r = random_result(rng);
-  const auto reply = ar::encode_result(17, r, /*version=*/3);  // server echoes v3
-  ar::WireReader reply_reader(reply);
-  const auto reply_header = ar::decode_header(reply_reader);
-  EXPECT_EQ(reply_header.version, 3u);
-  const ae::EpisodeResult back_r = ar::decode_result_body(reply_reader, reply_header.version);
-  ASSERT_EQ(back_r.latencies_ms.size(), r.latencies_ms.size());
-  for (std::size_t i = 0; i < r.latencies_ms.size(); ++i) {
-    EXPECT_TRUE(same_bits(back_r.latencies_ms[i], r.latencies_ms[i]));
+  // A plausible-looking count is bounded by the bytes actually left in the
+  // frame: an 8-byte body claiming 8M latencies (64 MB) is rejected as
+  // implausible before any reserve, not reserved and then found truncated.
+  ar::WireWriter small;
+  small.u32(ar::kWireMagic);
+  small.u16(ar::kWireVersion);
+  small.u16(static_cast<std::uint16_t>(ar::MsgType::kResult));
+  small.u64(2);                 // request id
+  small.u64(8u * 1024 * 1024);  // latency count; the body ends here
+  const auto claimed = small.take();
+  ar::WireReader claimed_reader(claimed);
+  (void)ar::decode_header(claimed_reader);
+  try {
+    (void)ar::decode_result_body(claimed_reader);
+    ADD_FAILURE() << "an 8-byte body claiming 8M latencies decoded";
+  } catch (const ar::CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible"), std::string::npos) << e.what();
   }
-  EXPECT_FALSE(back_r.is_rejected());
 }
 
-TEST(RpcCodec, V4OnlyMessageTypesAreRejectedOnV3Frames) {
-  // A farm-control frame stamped v3 is a protocol violation: the message
-  // type does not exist at that version.
-  for (const auto& frame : {ar::encode_hello(1), ar::encode_heartbeat(2), ar::encode_cancel(3),
-                            ar::encode_memo_export(4, 0)}) {
-    auto bad = frame;
-    bad[4] = 3;  // version u16 lives after the u32 magic
-    bad[5] = 0;
-    ar::WireReader reader(bad);
-    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
-  }
-  // The same frames decode fine with their native v4 stamp.
-  const auto good = ar::encode_hello(1);
-  ar::WireReader reader(good);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.type, ar::MsgType::kHello);
-  EXPECT_EQ(header.version, ar::kWireVersion);
-}
-
-TEST(RpcCodec, VersionsBelowTheCompatibilityWindowAreRejected) {
+TEST(RpcCodec, OtherWireVersionsAreRejected) {
+  // Every peer is built from one tree: a frame stamped with any version but
+  // this build's is rejected, older or newer.
   std::mt19937_64 rng(0x22u);
-  auto frame = ar::encode_query(5, random_query(rng));
-  frame[4] = static_cast<std::uint8_t>(ar::kMinWireVersion - 1);
-  frame[5] = 0;
-  ar::WireReader reader(frame);
-  EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError);
+  for (const int version : {0, ar::kWireVersion - 1, ar::kWireVersion + 1}) {
+    auto frame = ar::encode_query(5, random_query(rng));
+    frame[4] = static_cast<std::uint8_t>(version);  // version u16 lives after the u32 magic
+    frame[5] = 0;
+    ar::WireReader reader(frame);
+    EXPECT_THROW((void)ar::decode_header(reader), ar::CodecError) << "version " << version;
+  }
 }
 
 TEST(RpcCodec, AnnounceRoundTrips) {
@@ -528,9 +532,9 @@ TEST(RpcCodec, InstallAckAndMemoExportRoundTrip) {
   EXPECT_EQ(ar::decode_memo_export_body(exp_reader), 9u);
 }
 
-// ---- wire v5: overload-protection fields ------------------------------------
+// ---- overload-protection fields ------------------------------------------------
 
-TEST(RpcCodec, V5QueryCarriesDeadlineAndPriority) {
+TEST(RpcCodec, QueryCarriesDeadlineAndPriority) {
   std::mt19937_64 rng(0x5005u);
   for (int rep = 0; rep < 100; ++rep) {
     ae::EnvQuery q = random_query(rng);
@@ -542,7 +546,7 @@ TEST(RpcCodec, V5QueryCarriesDeadlineAndPriority) {
   }
 }
 
-TEST(RpcCodec, V5ResultCarriesRejectReason) {
+TEST(RpcCodec, ResultCarriesRejectReason) {
   std::mt19937_64 rng(0x5105u);
   for (const auto reason : {ae::RejectReason::kNone, ae::RejectReason::kShedded,
                             ae::RejectReason::kDeadlineExceeded}) {
@@ -554,71 +558,10 @@ TEST(RpcCodec, V5ResultCarriesRejectReason) {
   // An out-of-range reject reason byte is a protocol violation, not UB.
   ae::EpisodeResult r;
   auto frame = ar::encode_result(3, r);
-  frame.back() = 0x7F;  // the reject-reason u8 is the final body byte at v5
+  frame.back() = 0x7F;  // the reject-reason u8 is the final body byte
   ar::WireReader reader(frame);
   (void)ar::decode_header(reader);
   EXPECT_THROW((void)ar::decode_result_body(reader), ar::CodecError);
-}
-
-TEST(RpcCodec, V4StampedFramesDecodeWithDefaultOverloadFields) {
-  // A v4 peer (previous release) sends shorter bodies; a v5 build must
-  // decode them with the overload fields defaulted, and must emit
-  // v4-truncated bodies when echoing that peer's version.
-  std::mt19937_64 rng(0x4455u);
-  ae::EnvQuery q = random_query(rng);
-  q.deadline_ms = 1234.5;                       // must NOT survive a v4 trip
-  q.priority = ae::QueryPriority::kSpeculative;  // ditto
-  const auto frame = ar::encode_query(21, q, /*version=*/4);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  EXPECT_EQ(header.version, 4u);
-  const ae::EnvQuery back = ar::decode_query_body(reader, header.version);
-  EXPECT_EQ(back.workload.seed, q.workload.seed);
-  EXPECT_EQ(back.deadline_ms, 0.0);
-  EXPECT_EQ(back.priority, ae::QueryPriority::kNormal);
-
-  const ae::EpisodeResult r = random_result(rng);
-  const auto reply = ar::encode_result(21, r, /*version=*/4);
-  ar::WireReader reply_reader(reply);
-  const auto reply_header = ar::decode_header(reply_reader);
-  const ae::EpisodeResult back_r = ar::decode_result_body(reply_reader, reply_header.version);
-  EXPECT_EQ(back_r.frames_completed, r.frames_completed);
-  EXPECT_FALSE(back_r.is_rejected());
-}
-
-TEST(RpcCodec, V5StatsSnapshotCarriesOverloadCounters) {
-  ae::EnvServiceStats stats;
-  stats.offline_queries = 10;
-  stats.shed_total = 4;
-  stats.deadline_rejected = 2;
-  ae::BackendStats b;
-  b.name = "sim-0";
-  b.queries = 10;
-  b.shedded = 3;
-  b.deadline_rejected = 1;
-  b.rpc_reconnects = 7;
-  stats.backends.push_back(std::move(b));
-
-  const auto frame = ar::encode_stats_snapshot(8, stats);
-  ar::WireReader reader(frame);
-  const auto header = ar::decode_header(reader);
-  const ae::EnvServiceStats back = ar::decode_stats_snapshot_body(reader, header.version);
-  EXPECT_EQ(back.shed_total, 4u);
-  EXPECT_EQ(back.deadline_rejected, 2u);
-  ASSERT_EQ(back.backends.size(), 1u);
-  EXPECT_EQ(back.backends[0].shedded, 3u);
-  EXPECT_EQ(back.backends[0].deadline_rejected, 1u);
-  EXPECT_EQ(back.backends[0].rpc_reconnects, 7u);
-  EXPECT_EQ(back.backends[0].rejected(), 4u);
-
-  // The same snapshot at v4 drops the counters (shorter body, no garbage).
-  const auto v4_frame = ar::encode_stats_snapshot(8, stats, /*version=*/4);
-  ar::WireReader v4_reader(v4_frame);
-  const auto v4_header = ar::decode_header(v4_reader);
-  const ae::EnvServiceStats v4_back = ar::decode_stats_snapshot_body(v4_reader, v4_header.version);
-  EXPECT_EQ(v4_back.shed_total, 0u);
-  EXPECT_EQ(v4_back.backends[0].shedded, 0u);
-  EXPECT_EQ(v4_back.backends[0].queries, 10u);
 }
 
 TEST(RpcCodec, CancelIsHeaderOnly) {

@@ -535,6 +535,15 @@ TopologyReport drive_farm(const LoadgenOptions& options) {
   return report;
 }
 
+/// Every counter of a stats view (FarmView, SpeculationView) as a JSON
+/// field under its list name.
+template <typename View>
+void write_fields_json(atlas::telemetry::JsonWriter& json, const View& view) {
+  View::visit_fields([&](const char* name, atlas::env::FieldKind,
+                         std::uint64_t value) { json.field(name, value); },
+                     view);
+}
+
 void write_point_json(atlas::telemetry::JsonWriter& json, const PointRow& row) {
   json.begin_object();
   json.field("offered_qps", row.result.offered_qps);
@@ -549,10 +558,7 @@ void write_point_json(atlas::telemetry::JsonWriter& json, const PointRow& row) {
   if (row.speculation.active) {
     json.key("speculation");
     json.begin_object();
-    json.field("launched", row.speculation.launched);
-    json.field("hits", row.speculation.hits);
-    json.field("cancelled", row.speculation.cancelled);
-    json.field("wasted", row.speculation.wasted);
+    write_fields_json(json, row.speculation);
     json.field("hit_rate", row.speculation.hit_rate());
     json.end_object();
   }
@@ -580,19 +586,9 @@ void write_topology_json(atlas::telemetry::JsonWriter& json, const TopologyRepor
   json.key("query_latency_ms");
   atlas::telemetry::write_histogram_json(json, report.final_stats.query_latency_ns, 1e6);
   if (report.final_stats.farm.active) {
-    const atlas::env::FarmView& farm = report.final_stats.farm;
     json.key("farm");
     json.begin_object();
-    json.field("workers", farm.workers);
-    json.field("workers_serving", farm.workers_serving);
-    json.field("workers_suspect", farm.workers_suspect);
-    json.field("workers_joined", farm.workers_joined);
-    json.field("workers_lost", farm.workers_lost);
-    json.field("workers_drained", farm.workers_drained);
-    json.field("heartbeats_missed", farm.heartbeats_missed);
-    json.field("episodes_redispatched", farm.episodes_redispatched);
-    json.field("memo_entries_migrated", farm.memo_entries_migrated);
-    json.field("backends_migrated", farm.backends_migrated);
+    write_fields_json(json, report.final_stats.farm);
     json.end_object();
   }
   if (!report.workers.empty()) {
@@ -788,7 +784,7 @@ void write_degradation_side_json(atlas::telemetry::JsonWriter& json,
                                                 : static_cast<double>(farm.hedge_wins) /
                                                       static_cast<double>(farm.hedges));
   json.field("breaker_trips", farm.breaker_trips);
-  json.field("reconnects", farm.reconnects);
+  json.field("reconnects", side.final_stats.reconnects);
   json.field("episodes_redispatched", farm.episodes_redispatched);
   if (side.faults.total() > 0 || side.faulty_workers > 0) {
     json.key("faults_injected");
